@@ -82,10 +82,9 @@ struct MachineConfig {
   // Extra serialization charged per atomic read-modify-write.
   double atomic_extra_cycles = 12.0;
   // Fork/join cost of one tile-parallel region (thread wake-up + barrier),
-  // charged once per fan-out on the main ledger when num_cores > 1. Makes the
-  // modeled cost of a step depend on how many separate sweeps it launches —
-  // the fused two-pass pipeline pays it twice per species, the legacy
-  // five-sweep path five times.
+  // charged once per fan-out on the main ledger when num_cores > 1. The step
+  // pipeline pays it twice per species for its two particle passes, and once
+  // for each other fan-out (J zeroing, reduction color classes, collisions).
   double parallel_region_fork_join_cycles = 400.0;
 
   // --- Memory hierarchy ---

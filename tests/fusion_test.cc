@@ -1,14 +1,16 @@
-// Fused step-pipeline tests: the two-pass fused schedule must be bit-identical
-// to the legacy sweep-per-stage schedule on every workload, variant, order,
-// species count, and core/thread count; the halo-disjoint reduction coloring
-// must be a valid schedule; and the modeled ledger must be deterministic
-// across runs now that every modeled array (including the gather scratch) is
-// registered with the address map.
+// Step-pipeline tests: the two-pass schedule must be bit-identical across
+// modeled core and host thread counts on every workload, variant, order and
+// species count; the halo-disjoint reduction coloring must be a valid
+// schedule; and the modeled ledger must be deterministic across runs now that
+// every modeled array (including the gather scratch) is registered with the
+// address map.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -82,196 +84,6 @@ void ExpectSimsBitIdentical(Simulation& a, Simulation& b) {
   }
 }
 
-// ---- Fused vs. legacy bit identity -----------------------------------------
-
-class FusedVsLegacyCores : public ::testing::TestWithParam<int> {};
-
-TEST_P(FusedVsLegacyCores, UniformEveryVariantAndOrder) {
-  UseManyThreads();
-  struct Combo {
-    DepositVariant variant;
-    int order;
-  };
-  std::vector<Combo> combos;
-  for (DepositVariant v :
-       {DepositVariant::kScalar, DepositVariant::kBaseline,
-        DepositVariant::kBaselineIncrSort, DepositVariant::kRhocell,
-        DepositVariant::kRhocellIncrSort, DepositVariant::kRhocellIncrSortVpu,
-        DepositVariant::kMatrixOnly, DepositVariant::kHybridNoSort,
-        DepositVariant::kHybridGlobalSort, DepositVariant::kFullOpt}) {
-    const VariantTraits traits = TraitsOf(v);
-    for (int order : {1, 2, 3}) {
-      if (order == 2 && (traits.uses_rhocell || traits.uses_mpu)) {
-        continue;  // rhocell/MPU kernels are odd-order only
-      }
-      combos.push_back({v, order});
-    }
-  }
-  for (const Combo& c : combos) {
-    SCOPED_TRACE(std::string(VariantName(c.variant)) + " order " +
-                 std::to_string(c.order));
-    UniformWorkloadParams p;
-    p.nx = p.ny = p.nz = 8;
-    p.ppc_x = p.ppc_y = p.ppc_z = 2;
-    p.tile = 4;
-    p.variant = c.variant;
-    p.order = c.order;
-
-    p.fuse_stages = true;
-    HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto fused = MakeUniformSimulation(fused_hw, p);
-    fused->Run(4);
-
-    p.fuse_stages = false;
-    HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto legacy = MakeUniformSimulation(legacy_hw, p);
-    legacy->Run(4);
-
-    ExpectSimsBitIdentical(*fused, *legacy);
-    // The schedules execute the same work: instruction counters match too.
-    EXPECT_EQ(fused_hw.ledger().counters().mopas,
-              legacy_hw.ledger().counters().mopas);
-    EXPECT_EQ(fused_hw.ledger().counters().scatters,
-              legacy_hw.ledger().counters().scatters);
-  }
-}
-
-TEST_P(FusedVsLegacyCores, TwoStream) {
-  UseManyThreads();
-  TwoStreamParams p;
-  p.variant = DepositVariant::kFullOpt;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeTwoStreamSimulation(fused_hw, p);
-  fused->Run(5);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeTwoStreamSimulation(legacy_hw, p);
-  legacy->Run(5);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-}
-
-TEST_P(FusedVsLegacyCores, LwfaMovingWindowWithIons) {
-  UseManyThreads();
-  LwfaWorkloadParams p;
-  p.nx = p.ny = 8;
-  p.nz = 32;
-  p.tile = 4;
-  p.tile_z = 8;
-  p.variant = DepositVariant::kFullOpt;
-  p.with_ions = true;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeLwfaSimulation(fused_hw, p);
-  fused->Run(8);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeLwfaSimulation(legacy_hw, p);
-  legacy->Run(8);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-}
-
-TEST_P(FusedVsLegacyCores, MultiSpeciesMixedEngineOverrides) {
-  UseManyThreads();
-  // Electrons on the full MPU pipeline at CIC; heavy ions on the unsorted
-  // hybrid at QSP — exercises per-species order dispatch in both schedules.
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 8;
-  p.tile = 4;
-  UniformSpeciesParams electrons;
-  electrons.species = Species::Electron();
-  electrons.ppc_x = electrons.ppc_y = electrons.ppc_z = 2;
-  UniformSpeciesParams ions;
-  ions.species = Species::Proton();
-  ions.ppc_x = ions.ppc_y = ions.ppc_z = 1;
-  ions.variant = DepositVariant::kHybridNoSort;
-  ions.order = 3;
-  p.species_params = {electrons, ions};
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeUniformSimulation(fused_hw, p);
-  fused->Run(5);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeUniformSimulation(legacy_hw, p);
-  legacy->Run(5);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-  ASSERT_EQ(fused->last_sim_stats().species.size(), 2u);
-  EXPECT_EQ(fused->last_sim_stats().species[0].pushed,
-            legacy->last_sim_stats().species[0].pushed);
-  EXPECT_EQ(fused->last_sim_stats().species[1].pushed,
-            legacy->last_sim_stats().species[1].pushed);
-}
-
-TEST_P(FusedVsLegacyCores, EsirkepovUniformEveryOrder) {
-  UseManyThreads();
-  // The charge-conserving scheme runs the same per-tile stages through both
-  // orchestrations: capture, push, wrap (with old-lane shift), scan, staged
-  // deposit into the per-tile TileCurrent, colored reduce. Bit identity must
-  // hold on every order, including TSC (order 2), which only this scheme
-  // supports on the kFullOpt machinery.
-  for (int order : {1, 2, 3}) {
-    SCOPED_TRACE(order);
-    UniformWorkloadParams p;
-    p.nx = p.ny = p.nz = 8;
-    p.ppc_x = p.ppc_y = p.ppc_z = 2;
-    p.tile = 4;
-    p.variant = DepositVariant::kFullOpt;
-    p.order = order;
-    p.scheme = CurrentScheme::kEsirkepov;
-
-    p.fuse_stages = true;
-    HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto fused = MakeUniformSimulation(fused_hw, p);
-    fused->Run(4);
-
-    p.fuse_stages = false;
-    HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-    auto legacy = MakeUniformSimulation(legacy_hw, p);
-    legacy->Run(4);
-
-    ExpectSimsBitIdentical(*fused, *legacy);
-  }
-}
-
-TEST_P(FusedVsLegacyCores, EsirkepovLwfaMovingWindowWithIons) {
-  UseManyThreads();
-  // Moving window + Esirkepov: window drops remove charge mid-step and the
-  // tile-parallel injection adds it back after the deposit — the old-position
-  // lanes must survive both, and the two schedules must still agree bitwise.
-  LwfaWorkloadParams p;
-  p.nx = p.ny = 8;
-  p.nz = 32;
-  p.tile = 4;
-  p.tile_z = 8;
-  p.variant = DepositVariant::kFullOpt;
-  p.scheme = CurrentScheme::kEsirkepov;
-  p.with_ions = true;
-
-  p.fuse_stages = true;
-  HwContext fused_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto fused = MakeLwfaSimulation(fused_hw, p);
-  fused->Run(8);
-
-  p.fuse_stages = false;
-  HwContext legacy_hw(MachineConfig::Lx2MultiCore(GetParam()));
-  auto legacy = MakeLwfaSimulation(legacy_hw, p);
-  legacy->Run(8);
-
-  ExpectSimsBitIdentical(*fused, *legacy);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cores, FusedVsLegacyCores, ::testing::Values(1, 2, 4));
-
 // Esirkepov across core counts: the colored reduce of the per-tile J scratch
 // (wider halo than rhocell) must be schedule-independent on its own.
 TEST(FusedPipeline, EsirkepovBitIdenticalAcrossCoreCounts) {
@@ -296,25 +108,127 @@ TEST(FusedPipeline, EsirkepovBitIdenticalAcrossCoreCounts) {
   }
 }
 
-// The fused schedule must also be bit-stable across core counts on its own
-// (the legacy path's cross-core determinism is pinned by threading_test).
+// One input of the cross-core identity test: a workload factory and the
+// number of steps to run it.
+struct CoreSweepCase {
+  std::string name;
+  std::function<std::unique_ptr<Simulation>(HwContext&)> make;
+  int steps;
+};
+
+std::vector<CoreSweepCase> CoreSweepCases() {
+  std::vector<CoreSweepCase> cases;
+  auto uniform = [](DepositVariant variant, int order, CurrentScheme scheme) {
+    UniformWorkloadParams p;
+    p.nx = p.ny = p.nz = 8;
+    p.ppc_x = p.ppc_y = p.ppc_z = 2;
+    p.tile = 4;
+    p.variant = variant;
+    p.order = order;
+    p.scheme = scheme;
+    return p;
+  };
+  // Every variant at every order it supports.
+  for (DepositVariant v :
+       {DepositVariant::kScalar, DepositVariant::kBaseline,
+        DepositVariant::kBaselineIncrSort, DepositVariant::kRhocell,
+        DepositVariant::kRhocellIncrSort, DepositVariant::kRhocellIncrSortVpu,
+        DepositVariant::kMatrixOnly, DepositVariant::kHybridNoSort,
+        DepositVariant::kHybridGlobalSort, DepositVariant::kFullOpt}) {
+    const VariantTraits traits = TraitsOf(v);
+    for (int order : {1, 2, 3}) {
+      if (order == 2 && (traits.uses_rhocell || traits.uses_mpu)) {
+        continue;  // rhocell/MPU kernels are odd-order only
+      }
+      const UniformWorkloadParams p = uniform(v, order, CurrentScheme::kDirect);
+      cases.push_back({std::string(VariantName(v)) + " order " +
+                           std::to_string(order),
+                       [p](HwContext& hw) { return MakeUniformSimulation(hw, p); },
+                       5});
+    }
+  }
+  // The charge-conserving scheme at every order, including TSC (order 2),
+  // which only this scheme supports on the kFullOpt machinery: capture, push,
+  // wrap (with old-lane shift), scan, staged deposit into the per-tile
+  // TileCurrent, colored reduce.
+  for (int order : {1, 2, 3}) {
+    const UniformWorkloadParams p =
+        uniform(DepositVariant::kFullOpt, order, CurrentScheme::kEsirkepov);
+    cases.push_back({"Esirkepov order " + std::to_string(order),
+                     [p](HwContext& hw) { return MakeUniformSimulation(hw, p); },
+                     4});
+  }
+  {
+    TwoStreamParams p;
+    p.variant = DepositVariant::kFullOpt;
+    cases.push_back({"two-stream",
+                     [p](HwContext& hw) { return MakeTwoStreamSimulation(hw, p); },
+                     5});
+  }
+  // Moving window with ions, direct and Esirkepov: window drops remove charge
+  // mid-step and the tile-parallel injection adds it back after the deposit,
+  // and under Esirkepov the old-position lanes must survive both.
+  for (CurrentScheme scheme : {CurrentScheme::kDirect, CurrentScheme::kEsirkepov}) {
+    LwfaWorkloadParams p;
+    p.nx = p.ny = 8;
+    p.nz = 32;
+    p.tile = 4;
+    p.tile_z = 8;
+    p.variant = DepositVariant::kFullOpt;
+    p.scheme = scheme;
+    p.with_ions = true;
+    cases.push_back({std::string("LWFA + ions ") + CurrentSchemeName(scheme),
+                     [p](HwContext& hw) { return MakeLwfaSimulation(hw, p); },
+                     8});
+  }
+  {
+    // Electrons on the full MPU pipeline at CIC; heavy ions on the unsorted
+    // hybrid at QSP — exercises per-species order dispatch.
+    UniformWorkloadParams p;
+    p.nx = p.ny = p.nz = 8;
+    p.tile = 4;
+    UniformSpeciesParams electrons;
+    electrons.species = Species::Electron();
+    electrons.ppc_x = electrons.ppc_y = electrons.ppc_z = 2;
+    UniformSpeciesParams ions;
+    ions.species = Species::Proton();
+    ions.ppc_x = ions.ppc_y = ions.ppc_z = 1;
+    ions.variant = DepositVariant::kHybridNoSort;
+    ions.order = 3;
+    p.species_params = {electrons, ions};
+    cases.push_back({"mixed per-species engines",
+                     [p](HwContext& hw) { return MakeUniformSimulation(hw, p); },
+                     5});
+  }
+  return cases;
+}
+
+// Every workload must be bit-stable across modeled core counts, and every
+// core count must do the same work (push and instruction counts).
 TEST(FusedPipeline, BitIdenticalAcrossCoreCounts) {
   UseManyThreads();
-  UniformWorkloadParams p;
-  p.nx = p.ny = p.nz = 8;
-  p.ppc_x = p.ppc_y = p.ppc_z = 2;
-  p.tile = 4;
-  p.variant = DepositVariant::kFullOpt;
-
-  HwContext serial_hw;
-  auto serial = MakeUniformSimulation(serial_hw, p);
-  serial->Run(5);
-  for (int cores : {2, 3, 4}) {
-    SCOPED_TRACE(cores);
-    HwContext par_hw(MachineConfig::Lx2MultiCore(cores));
-    auto parallel = MakeUniformSimulation(par_hw, p);
-    parallel->Run(5);
-    ExpectSimsBitIdentical(*serial, *parallel);
+  for (const CoreSweepCase& c : CoreSweepCases()) {
+    SCOPED_TRACE(c.name);
+    HwContext serial_hw;
+    auto serial = c.make(serial_hw);
+    serial->Run(c.steps);
+    for (int cores : {2, 3, 4}) {
+      SCOPED_TRACE(cores);
+      HwContext par_hw(MachineConfig::Lx2MultiCore(cores));
+      auto parallel = c.make(par_hw);
+      parallel->Run(c.steps);
+      ExpectSimsBitIdentical(*serial, *parallel);
+      const SimStepStats& ss = serial->last_sim_stats();
+      const SimStepStats& ps = parallel->last_sim_stats();
+      ASSERT_EQ(ss.species.size(), ps.species.size());
+      for (size_t sid = 0; sid < ss.species.size(); ++sid) {
+        EXPECT_EQ(ss.species[sid].pushed, ps.species[sid].pushed);
+      }
+      EXPECT_EQ(serial_hw.ledger().counters().mopas,
+                par_hw.ledger().counters().mopas);
+      EXPECT_EQ(serial_hw.ledger().counters().scatters,
+                par_hw.ledger().counters().scatters);
+    }
   }
 }
 
@@ -398,7 +312,7 @@ TEST(ReduceColoring, SingleTileIsOneClass) {
 }
 
 // The colored parallel reduction must agree bitwise with the serial
-// color-major sweep — pinned end-to-end by running the same fused workload at
+// color-major sweep — pinned end-to-end by running the same workload at
 // 1 and 4 cores with a QSP rhocell variant (halo 1, eight color classes).
 TEST(ReduceColoring, ColoredReduceMatchesSerialReduceBitwise) {
   UseManyThreads();
@@ -455,28 +369,6 @@ TEST(LedgerDeterminism, RepeatedRunsChargeIdenticalCycles) {
     }
     EXPECT_EQ(a.counters().l1_misses, b.counters().l1_misses);
     EXPECT_EQ(a.counters().l2_misses, b.counters().l2_misses);
-  }
-}
-
-// ---- Fused pipeline is modeled as cheaper -----------------------------------
-
-TEST(FusedPipeline, ModeledCyclesBelowLegacySweeps) {
-  UseManyThreads();
-  auto total = [](bool fused, int cores) {
-    UniformWorkloadParams p;
-    p.nx = p.ny = p.nz = 16;
-    p.ppc_x = p.ppc_y = p.ppc_z = 4;
-    p.tile = 4;
-    p.variant = DepositVariant::kFullOpt;
-    p.fuse_stages = fused;
-    HwContext hw(MachineConfig::Lx2MultiCore(cores));
-    auto sim = MakeUniformSimulation(hw, p);
-    sim->Run(3);
-    return hw.ledger().TotalCycles();
-  };
-  for (int cores : {1, 4}) {
-    SCOPED_TRACE(cores);
-    EXPECT_LT(total(/*fused=*/true, cores), total(/*fused=*/false, cores));
   }
 }
 

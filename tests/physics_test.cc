@@ -120,26 +120,21 @@ TEST(GaussLaw, DirectDepositionDrifts) {
 }
 
 TEST(GaussLaw, EsirkepovConservesAcrossOrdersSchedulesAndCores) {
-  // The full matrix: every shape order x fused/legacy schedule x core count,
-  // with smaller tiles so the run crosses tile boundaries and exercises the
-  // colored reduce. Residual change stays at rounding everywhere.
+  // The full matrix: every shape order x core count, with smaller tiles so
+  // the run crosses tile boundaries and exercises the colored reduce.
+  // Residual change stays at rounding everywhere.
   for (int order : {1, 2, 3}) {
-    for (bool fused : {true, false}) {
-      for (int cores : {1, 2, 4}) {
-        UniformWorkloadParams p = GaussWorkload();
-        p.tile = 4;
-        p.order = order;
-        // kFullOpt pins the scheme onto the complete sort machinery (GPMA
-        // maintenance + policy); its rhocell/MPU kernels are replaced by the
-        // Esirkepov tile kernel, which is how order 2 becomes legal here.
-        p.variant = DepositVariant::kFullOpt;
-        p.scheme = CurrentScheme::kEsirkepov;
-        p.fuse_stages = fused;
-        const double drift = GaussResidualChangeAfterRun(p, cores, 10);
-        EXPECT_LT(drift, 1e-8)
-            << "order " << order << (fused ? " fused" : " legacy") << " cores "
-            << cores;
-      }
+    for (int cores : {1, 2, 4}) {
+      UniformWorkloadParams p = GaussWorkload();
+      p.tile = 4;
+      p.order = order;
+      // kFullOpt pins the scheme onto the complete sort machinery (GPMA
+      // maintenance + policy); its rhocell/MPU kernels are replaced by the
+      // Esirkepov tile kernel, which is how order 2 becomes legal here.
+      p.variant = DepositVariant::kFullOpt;
+      p.scheme = CurrentScheme::kEsirkepov;
+      const double drift = GaussResidualChangeAfterRun(p, cores, 10);
+      EXPECT_LT(drift, 1e-8) << "order " << order << " cores " << cores;
     }
   }
 }
